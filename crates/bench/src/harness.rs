@@ -22,6 +22,43 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// Median wall time per iteration, kept as f64 nanoseconds: a batch's
+/// elapsed time divided by its iteration count without truncating to whole
+/// nanoseconds, so a sub-nanosecond closure still reads above zero.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct PerIter {
+    nanos: f64,
+}
+
+impl PerIter {
+    /// Nanoseconds per iteration.
+    pub fn as_nanos_f64(self) -> f64 {
+        self.nanos
+    }
+
+    /// Seconds per iteration.
+    pub fn as_secs_f64(self) -> f64 {
+        self.nanos / 1e9
+    }
+
+    /// The nearest whole-nanosecond [`Duration`].
+    pub fn to_duration(self) -> Duration {
+        Duration::from_nanos(self.nanos.round() as u64)
+    }
+}
+
+impl PartialEq<Duration> for PerIter {
+    fn eq(&self, other: &Duration) -> bool {
+        self.nanos == other.as_nanos() as f64
+    }
+}
+
+impl PartialOrd<Duration> for PerIter {
+    fn partial_cmp(&self, other: &Duration) -> Option<std::cmp::Ordering> {
+        self.nanos.partial_cmp(&(other.as_nanos() as f64))
+    }
+}
+
 /// One group of related benchmarks, printed under a common heading.
 pub struct Bench {
     group: String,
@@ -41,19 +78,19 @@ impl Bench {
     }
 
     /// Time `f` and print its median per-iteration latency.
-    pub fn run<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Duration {
+    pub fn run<R>(&self, name: &str, mut f: impl FnMut() -> R) -> PerIter {
         let per_iter = self.measure(&mut f);
         println!(
             "{:<44} {:>14}/iter",
             self.label(name),
-            fmt_duration(per_iter)
+            fmt_nanos(per_iter.as_nanos_f64())
         );
         per_iter
     }
 
     /// Time `f`, which processes `bytes` per iteration, and print both the
     /// median latency and the implied throughput.
-    pub fn run_bytes<R>(&self, name: &str, bytes: u64, mut f: impl FnMut() -> R) -> Duration {
+    pub fn run_bytes<R>(&self, name: &str, bytes: u64, mut f: impl FnMut() -> R) -> PerIter {
         let per_iter = self.measure(&mut f);
         let secs = per_iter.as_secs_f64();
         let gib_s = if secs > 0.0 {
@@ -64,7 +101,7 @@ impl Bench {
         println!(
             "{:<44} {:>14}/iter  {:>10.3} GiB/s",
             self.label(name),
-            fmt_duration(per_iter),
+            fmt_nanos(per_iter.as_nanos_f64()),
             gib_s
         );
         per_iter
@@ -74,7 +111,7 @@ impl Bench {
         format!("{}/{}", self.group, name)
     }
 
-    fn measure<R>(&self, f: &mut impl FnMut() -> R) -> Duration {
+    fn measure<R>(&self, f: &mut impl FnMut() -> R) -> PerIter {
         // Grow the batch size until one batch meets the time floor, so
         // sub-microsecond closures are still timed against clock noise.
         let mut iters: u64 = 1;
@@ -85,11 +122,13 @@ impl Bench {
             }
             iters = iters.saturating_mul(2);
         }
-        let mut samples: Vec<Duration> = (0..self.samples)
-            .map(|_| Self::time_batch(f, iters) / iters as u32)
+        let mut samples: Vec<f64> = (0..self.samples)
+            .map(|_| Self::time_batch(f, iters).as_nanos() as f64 / iters as f64)
             .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2]
+        samples.sort_unstable_by(f64::total_cmp);
+        PerIter {
+            nanos: samples[samples.len() / 2],
+        }
     }
 
     fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u64) -> Duration {
@@ -101,16 +140,22 @@ impl Bench {
     }
 }
 
+#[cfg(test)]
 fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
+    fmt_nanos(d.as_nanos() as f64)
+}
+
+fn fmt_nanos(ns: f64) -> String {
+    if ns < 10.0 {
+        format!("{ns:.2} ns")
+    } else if ns < 10_000.0 {
+        format!("{ns:.0} ns")
+    } else if ns < 10_000_000.0 {
+        format!("{:.2} µs", ns / 1e3)
+    } else if ns < 10_000_000_000.0 {
+        format!("{:.2} ms", ns / 1e6)
     } else {
-        format!("{:.2} s", ns as f64 / 1e9)
+        format!("{:.2} s", ns / 1e9)
     }
 }
 

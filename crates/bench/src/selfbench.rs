@@ -1,7 +1,7 @@
 //! The perf self-benchmark: times the simulator's own hot loops — route
 //! resolution, flow transfers, ring collective steps, and a full COARSE
-//! training iteration — and writes a `BENCH_<label>.json` artifact for CI
-//! regression diffing.
+//! run with its dual-sync pilot search cold and memoized — and writes a
+//! `BENCH_<label>.json` artifact for CI regression diffing.
 //!
 //! The artifact mixes two kinds of fields, gated differently by the
 //! regression comparison ([`compare_reports`]):
@@ -28,9 +28,10 @@ use coarse_simcore::json::JsonValue;
 use coarse_simcore::prof::region;
 use coarse_simcore::time::SimTime;
 use coarse_simcore::units::ByteSize;
+use coarse_trainsim::coarse::clear_pilot_memo;
 use coarse_trainsim::{profile_preset, simulate_coarse, ProfileRun};
 
-use crate::harness::{black_box, Bench};
+use crate::harness::{black_box, Bench, PerIter};
 
 /// Schema identifier of the `BENCH_<label>.json` artifact. v2 added the
 /// `profile` section (deterministic kernel/region event counts plus
@@ -65,10 +66,10 @@ const PCIE_ONLY: LinkMask = LinkMask::only(LinkClass::Pcie);
 pub fn run_selfbench() -> Vec<BenchEntry> {
     let b = Bench::group("selfbench");
     let mut entries = Vec::new();
-    let mut push = |name: &'static str, median: Duration, work: u64, unit: &'static str| {
+    let mut push = |name: &'static str, median: PerIter, work: u64, unit: &'static str| {
         entries.push(BenchEntry {
             name,
-            median,
+            median: median.to_duration(),
             work,
             unit,
         });
@@ -132,10 +133,24 @@ pub fn run_selfbench() -> Vec<BenchEntry> {
         );
     }
 
-    // End-to-end: steady-state COARSE iterations (pilot + 2 iterations).
+    // End-to-end COARSE run, cold: clearing the pilot memo first makes every
+    // call pay deployment + the dual-sync pilot grid + 2 iterations, the work
+    // the `trainsim.coarse_2iter` row timed before the memo existed.
     push(
-        "trainsim.coarse_2iter",
-        b.run("trainsim.coarse_2iter", || {
+        "trainsim.pilot_search",
+        b.run("trainsim.pilot_search", || {
+            clear_pilot_memo();
+            black_box(simulate_coarse(&machine, &part, &model, 2, 2))
+        }),
+        2,
+        "iterations",
+    );
+
+    // The same run, warm: the grid comes from the memo, leaving deployment
+    // plus the final 2 iterations.
+    push(
+        "trainsim.iteration",
+        b.run("trainsim.iteration", || {
             black_box(simulate_coarse(&machine, &part, &model, 2, 2))
         }),
         2,
@@ -263,6 +278,11 @@ impl BenchComparison {
     }
 }
 
+/// Bench rows renamed since a committed baseline was written, as
+/// `(old, new)`: a baseline row under an old name is compared against the
+/// current row of its new name, which times the same work.
+const RENAMED_BENCHES: &[(&str, &str)] = &[("trainsim.coarse_2iter", "trainsim.pilot_search")];
+
 fn banded(current: f64, baseline: f64, tolerance: f64) -> bool {
     if baseline <= 0.0 {
         return true;
@@ -305,9 +325,13 @@ pub fn compare_reports(
         let Some(name) = row.get("name").and_then(JsonValue::as_str) else {
             continue;
         };
+        let cur_name = RENAMED_BENCHES
+            .iter()
+            .find(|&&(old, _)| old == name)
+            .map_or(name, |&(_, new)| new);
         let Some(cur) = cur_rows
             .iter()
-            .find(|r| r.get("name").and_then(JsonValue::as_str) == Some(name))
+            .find(|r| r.get("name").and_then(JsonValue::as_str) == Some(cur_name))
         else {
             cmp.errors
                 .push(format!("bench '{name}' missing from current report"));
@@ -486,6 +510,23 @@ mod tests {
         let cmp = compare_reports(&cur, &base, WALL_TOLERANCE);
         assert!(!cmp.passed());
         assert_eq!(cmp.errors.len(), 2, "errors: {:?}", cmp.errors);
+    }
+
+    #[test]
+    fn renamed_baseline_rows_compare_against_their_new_name() {
+        let row = |name: &'static str, work: u64| BenchEntry {
+            name,
+            median: Duration::from_millis(30),
+            work,
+            unit: "iterations",
+        };
+        let doc = |entry: BenchEntry| to_json("unit", &[entry], sample_profile(9, 1e6));
+        let base = doc(row("trainsim.coarse_2iter", 2));
+        let cmp = compare_reports(&doc(row("trainsim.pilot_search", 2)), &base, WALL_TOLERANCE);
+        assert!(cmp.passed(), "errors: {:?}", cmp.errors);
+        // The renamed row is still held to the baseline's work counter.
+        let cmp = compare_reports(&doc(row("trainsim.pilot_search", 3)), &base, WALL_TOLERANCE);
+        assert_eq!(cmp.errors.len(), 1, "errors: {:?}", cmp.errors);
     }
 
     #[test]

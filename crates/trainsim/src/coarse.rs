@@ -9,7 +9,7 @@
 //! actually minimizes the iteration period on this fabric — capturing the
 //! push/pull contention the analytic model abstracts away.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use coarse_cci::checkpoint::plan_pool_checkpoint;
 use coarse_cci::synccore::RingDirection;
@@ -18,6 +18,7 @@ use coarse_core::dualsync::{self, DualSyncInputs};
 use coarse_core::profiler::build_routing_table_for;
 use coarse_core::resilience::{FailureKind, RecoveryAction, RecoveryPolicy, ResiliencePolicy};
 use coarse_core::routing::RoutingTable;
+use coarse_fabric::bandwidth::BandwidthModel;
 use coarse_fabric::device::DeviceId;
 use coarse_fabric::engine::{TransferEngine, TransferError};
 use coarse_fabric::machines::{Machine, Partition};
@@ -2467,12 +2468,13 @@ impl FaultyTrainResult {
 /// Simulates COARSE training under an injected [`FaultPlan`].
 ///
 /// The deployment decision (routing tables, dual-sync split) is profiled
-/// on the *healthy* fabric — exactly as [`simulate_coarse`] does — and the
-/// measured run then travels under the plan: link degradations stretch
-/// serialization, flapped links reroute (or are waited out), transient
-/// corruption triggers retry-with-backoff, a dropped memory device triggers
-/// proxy failover with routing-table repair, and losing the proxy tier
-/// degrades synchronization to GPU-only allreduce.
+/// on the *healthy* fabric — exactly as [`simulate_coarse`] does, with the
+/// pilot grid run once per process per configuration and memoized after
+/// (DESIGN.md §18) — and the measured run then travels under the plan:
+/// link degradations stretch serialization, flapped links reroute (or are
+/// waited out), transient corruption triggers retry-with-backoff, a dropped
+/// memory device triggers proxy failover with routing-table repair, and
+/// losing the proxy tier degrades synchronization to GPU-only allreduce.
 ///
 /// An **empty plan takes the fast path**: the run is byte-identical to
 /// [`simulate_coarse`] and the fault accounting is all zeros. A non-empty
@@ -2838,6 +2840,171 @@ pub fn record_coarse_faulty_trace(
     (result, rec.take())
 }
 
+/// Entries the pilot memo keeps before evicting the oldest: room for the
+/// five scenario presets with headroom.
+const PILOT_MEMO_CAPACITY: usize = 8;
+
+/// The per-process memo of dual-sync pilot grids (DESIGN.md §18).
+struct PilotMemo {
+    /// `(exact key, per-candidate pilot periods)`, oldest first.
+    entries: VecDeque<(Box<[u64]>, Vec<SimDuration>)>,
+    hits: u64,
+    misses: u64,
+}
+
+// simlint: allow(parallel-ready, reason = "the crate's single lock, held only to look up or insert; memoized periods are a pure function of their exact key, so lock order cannot change any output")
+static PILOT_MEMO: std::sync::Mutex<PilotMemo> = std::sync::Mutex::new(PilotMemo {
+    entries: VecDeque::new(),
+    hits: 0,
+    misses: 0,
+});
+
+/// Occupancy and traffic of the pilot memo since process start or the last
+/// [`clear_pilot_memo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PilotMemoStats {
+    /// Lookups answered from the memo: the pilot grid was skipped.
+    pub hits: u64,
+    /// Lookups that ran the pilot grid.
+    pub misses: u64,
+    /// Grids currently held (never more than 8).
+    pub entries: usize,
+}
+
+/// The memo's contents stay a pure function of their keys even if a holder
+/// panicked, so a poisoned lock is recovered rather than propagated.
+fn pilot_memo() -> std::sync::MutexGuard<'static, PilotMemo> {
+    PILOT_MEMO
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Hits, misses and entries of the per-process pilot memo.
+pub fn pilot_memo_stats() -> PilotMemoStats {
+    let memo = pilot_memo();
+    PilotMemoStats {
+        hits: memo.hits,
+        misses: memo.misses,
+        entries: memo.entries.len(),
+    }
+}
+
+/// Empties the pilot memo and zeroes its counters, so the next COARSE run of
+/// any configuration runs its pilot grid cold.
+pub fn clear_pilot_memo() {
+    let mut memo = pilot_memo();
+    memo.entries.clear();
+    memo.hits = 0;
+    memo.misses = 0;
+}
+
+/// Returns the pilot periods stored under `key`, or runs `pilot` and stores
+/// its result; the flag is true on a hit. The lock is not held while
+/// `pilot` runs.
+fn memoized_pilot(
+    key: Vec<u64>,
+    pilot: impl FnOnce() -> Vec<SimDuration>,
+) -> (Vec<SimDuration>, bool) {
+    {
+        let mut memo = pilot_memo();
+        let found = memo
+            .entries
+            .iter()
+            .find(|(k, _)| **k == *key)
+            .map(|(_, periods)| periods.clone());
+        if let Some(periods) = found {
+            memo.hits += 1;
+            return (periods, true);
+        }
+        memo.misses += 1;
+    }
+    let periods = pilot();
+    let mut memo = pilot_memo();
+    // Another thread may have run the same grid meanwhile; its periods are
+    // identical, so keep one copy.
+    if !memo.entries.iter().any(|(k, _)| **k == *key) {
+        if memo.entries.len() == PILOT_MEMO_CAPACITY {
+            memo.entries.pop_front();
+        }
+        memo.entries
+            .push_back((key.into_boxed_slice(), periods.clone()));
+    }
+    (periods, false)
+}
+
+/// The exact memo key of one pilot grid: every input a pilot run reads,
+/// flattened to words with a length before each list, so two keys are equal
+/// only when every pilot input is. It holds the machine (SKU, node count, GPUs,
+/// GPUs per switch, the peer-to-peer flag, each device's kind and node, each
+/// link's endpoints, class, latency and bandwidth-model parameters as bits),
+/// the partition, the model (each tensor's element count and layer in order,
+/// forward FLOPs as bits), the batch and the candidate grid itself. Machine,
+/// device, model and tensor names are left out: only tracers, profilers and
+/// critical-path recorders read them, and pilot runs carry none.
+fn pilot_key(
+    machine: &Machine,
+    partition: &Partition,
+    model: &ModelProfile,
+    batch_per_gpu: u32,
+    candidates: &[ByteSize],
+) -> Vec<u64> {
+    let topo = machine.topology();
+    // The exact length when every link is saturating (flat ones take one
+    // word less), so the key is built in one allocation.
+    let len = 14
+        + machine.gpus().len()
+        + partition.workers.len() * 2
+        + partition.mem_devices.len()
+        + topo.device_count() * 2
+        + topo.link_count() * 7
+        + model.tensors().len() * 2
+        + candidates.len();
+    let mut key = Vec::with_capacity(len);
+    key.extend([
+        machine.sku() as u64,
+        u64::from(machine.nodes()),
+        machine.gpus_per_switch() as u64,
+        u64::from(topo.p2p_enabled()),
+    ]);
+    let devices = |key: &mut Vec<u64>, ids: &[DeviceId]| {
+        key.push(ids.len() as u64);
+        key.extend(ids.iter().map(|d| d.index() as u64));
+    };
+    devices(&mut key, machine.gpus());
+    devices(&mut key, &partition.workers);
+    devices(&mut key, &partition.mem_devices);
+    key.push(partition.proxy_of.len() as u64);
+    key.extend(partition.proxy_of.iter().map(|&p| p as u64));
+    key.push(topo.device_count() as u64);
+    for d in topo.devices() {
+        key.extend([d.kind() as u64, u64::from(d.node())]);
+    }
+    key.push(topo.link_count() as u64);
+    for l in topo.links() {
+        key.extend([
+            l.src().index() as u64,
+            l.dst().index() as u64,
+            l.class() as u64,
+            l.latency().as_nanos(),
+        ]);
+        match *l.model() {
+            BandwidthModel::Saturating { peak, half_size } => {
+                key.extend([0, peak.as_bytes_per_sec().to_bits(), half_size.as_u64()]);
+            }
+            BandwidthModel::Flat { rate } => key.extend([1, rate.as_bytes_per_sec().to_bits()]),
+        }
+    }
+    key.push(model.tensors().len() as u64);
+    for t in model.tensors() {
+        key.extend([t.elems, u64::from(t.layer)]);
+    }
+    key.push(model.fwd_flops_per_sample().to_bits());
+    key.push(u64::from(batch_per_gpu));
+    key.push(candidates.len() as u64);
+    key.extend(candidates.iter().map(|m| m.as_u64()));
+    key
+}
+
 /// Builds the deployment (fabric, tables, bandwidths, dual-sync pilot) for
 /// a COARSE run and returns it with the chosen proxy budget.
 fn prepare<'a>(
@@ -2855,6 +3022,12 @@ fn prepare<'a>(
 /// `dualsync.pilot_runs`) into `metrics`. The pilot runs themselves stay
 /// untraced and unmetered so the final trace/snapshot holds exactly one
 /// run's events.
+///
+/// The deployment is built on every call, but the pilot grid runs once per
+/// process per exact [`pilot_key`]: later calls replay the memoized
+/// per-candidate periods (DESIGN.md §18), emitting the same trace events
+/// and gauges — `dualsync.pilot_runs` stays the grid size — so every
+/// output is identical to a cold call.
 fn prepare_traced<'a>(
     machine: &'a Machine,
     partition: &Partition,
@@ -2999,7 +3172,8 @@ fn prepare_traced<'a>(
         sabotage: Sabotage::None,
     };
 
-    // Pilot runs pick the m that minimizes the *measured* period.
+    // Pilot runs pick the m that minimizes the *measured* period; a grid
+    // this process already ran for the same key is replayed from the memo.
     let n = model.total_bytes();
     let mut candidates = vec![analytic.proxy_bytes, ByteSize::ZERO, n];
     for eighths in 1..8u64 {
@@ -3008,13 +3182,18 @@ fn prepare_traced<'a>(
     candidates.sort_unstable();
     candidates.dedup();
     let pilot_runs = candidates.len();
+    let key = pilot_key(machine, partition, model, batch_per_gpu, &candidates);
+    let (periods, memoized) = memoized_pilot(key, || {
+        candidates.iter().map(|&m| deployment.run(m, 2)).collect()
+    });
     let debug = pilot_debug();
+    let memo_tag = if memoized { " (memo)" } else { "" };
     let best_m = candidates
         .into_iter()
-        .map(|m| {
-            let period = deployment.run(m, 2);
+        .zip(periods)
+        .map(|(m, period)| {
             if debug {
-                eprintln!("[coarse]   pilot m={m} -> period={period}");
+                eprintln!("[coarse]   pilot m={m} -> period={period}{memo_tag}");
             }
             if let Some(t) = tracer.filter(|t| t.is_enabled()) {
                 let track = t.track("dualsync");
